@@ -20,7 +20,6 @@ use nopfs_storage::{ReorderStage, SourceError, TierStack};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Launches double-buffering loaders, one per worker thread.
 pub struct DoubleBufferRunner {
@@ -191,6 +190,17 @@ impl DoubleBufferLoader {
         }
     }
 
+    /// Takes the next `want` samples in one staging handoff; `None`
+    /// when none arrive.
+    fn take(&mut self, want: usize) -> Option<Vec<(SampleId, Bytes)>> {
+        if want == 0 || self.consumed >= self.total {
+            return None;
+        }
+        let (batch, ..) = nopfs_core::pop_staged(&self.stage, &self.stats, want);
+        self.consumed += batch.len() as u64;
+        (!batch.is_empty()).then_some(batch)
+    }
+
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         self.stage.close();
@@ -218,15 +228,13 @@ impl DataLoader for DoubleBufferLoader {
     }
 
     fn next_sample(&mut self) -> Option<(SampleId, Bytes)> {
-        if self.consumed >= self.total {
-            return None;
-        }
-        let t0 = Instant::now();
-        let item = self.stage.pop()?;
-        self.stats.add_stall(t0.elapsed());
-        self.stats.count_consumed();
-        self.consumed += 1;
-        Some(item)
+        self.take(1)?.pop()
+    }
+
+    fn next_batch(&mut self) -> Option<Vec<(SampleId, Bytes)>> {
+        let want =
+            nopfs_core::next_batch_len(self.consumed, self.total, self.epoch_len, self.batch_size);
+        self.take(want)
     }
 
     fn stats(&self) -> WorkerStats {

@@ -486,6 +486,17 @@ impl PlanLoader {
         }
     }
 
+    /// Takes the next `want` samples in one staging handoff; `None`
+    /// when none arrive.
+    fn take(&mut self, want: usize) -> Option<Vec<(SampleId, Bytes)>> {
+        if want == 0 || self.consumed >= self.total {
+            return None;
+        }
+        let (batch, ..) = nopfs_core::pop_staged(&self.ctx.stage, &self.ctx.stats, want);
+        self.consumed += batch.len() as u64;
+        (!batch.is_empty()).then_some(batch)
+    }
+
     fn shutdown_inner(&mut self) {
         if self.finished {
             return;
@@ -525,15 +536,17 @@ impl DataLoader for PlanLoader {
     }
 
     fn next_sample(&mut self) -> Option<(SampleId, Bytes)> {
-        if self.consumed >= self.total {
-            return None;
-        }
-        let t0 = Instant::now();
-        let item = self.ctx.stage.pop()?;
-        self.ctx.stats.add_stall(t0.elapsed());
-        self.ctx.stats.count_consumed();
-        self.consumed += 1;
-        Some(item)
+        self.take(1)?.pop()
+    }
+
+    fn next_batch(&mut self) -> Option<Vec<(SampleId, Bytes)>> {
+        let want = nopfs_core::next_batch_len(
+            self.consumed,
+            self.total,
+            self.ctx.epoch_len,
+            self.batch_size,
+        );
+        self.take(want)
     }
 
     fn stats(&self) -> WorkerStats {

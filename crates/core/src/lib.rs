@@ -44,6 +44,11 @@ pub use stats::WorkerStats;
 pub use tiers::{class_tier_stack, class_tier_stack_in_registry};
 pub use worker::WorkerHandle;
 
+use bytes::Bytes;
+use nopfs_storage::ReorderStage;
+use stats::StatsCollector;
+use std::time::{Duration, Instant};
+
 /// Sample identifier (dense index into the dataset).
 pub type SampleId = u64;
 
@@ -62,6 +67,30 @@ pub fn next_batch_len(consumed: u64, total: u64, epoch_len: u64, batch_size: usi
     let into_epoch = consumed % epoch_len;
     let left_in_epoch = epoch_len - into_epoch;
     (batch_size as u64).min(left_in_epoch).min(total - consumed) as usize
+}
+
+/// The consumer side of every staged runtime loader: takes the next
+/// `want` stream positions from `stage` in one
+/// [`ReorderStage::pop_many`] and charges the wait to `stats` once (one
+/// stall observation, one consumed add).
+///
+/// Returns the samples — fewer than `want` only once the stage is
+/// closed — with when the wait began and how long it lasted, for
+/// callers that trace stalls. An empty result charges nothing.
+pub fn pop_staged(
+    stage: &ReorderStage,
+    stats: &StatsCollector,
+    want: usize,
+) -> (Vec<(SampleId, Bytes)>, Instant, Duration) {
+    let mut batch = Vec::with_capacity(want);
+    let t0 = Instant::now();
+    stage.pop_many(want, &mut batch);
+    let stalled = t0.elapsed();
+    if !batch.is_empty() {
+        stats.add_stall(stalled);
+        stats.add_consumed(batch.len() as u64);
+    }
+    (batch, t0, stalled)
 }
 
 #[cfg(test)]

@@ -116,6 +116,10 @@ impl StatsCollector {
         self.consumed.inc();
     }
 
+    pub fn add_consumed(&self, n: u64) {
+        self.consumed.add(n);
+    }
+
     /// Raw cumulative registry values (no baseline subtraction).
     fn totals(&self) -> WorkerStats {
         WorkerStats {

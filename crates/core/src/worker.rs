@@ -473,16 +473,16 @@ impl WorkerHandle {
 
         // Staging prefetchers: p0 threads each claiming a run of stream
         // positions per round, fetching the run through the vectored
-        // staging path. Pushing a claimed run in ascending order keeps
-        // the stage deadlock-free: the thread holding the globally next
-        // position always pushes it first, and the stage always admits
-        // the head position.
+        // staging path and handing it over with one `push_run`. Pushing
+        // a claimed run in ascending order keeps the stage deadlock-free:
+        // the thread holding the globally next position always pushes it
+        // first, and the stage always admits the head position.
         let position = Arc::new(AtomicU64::new(0));
         for _ in 0..sys.staging.threads.max(1) {
             let ctx = Arc::clone(&ctx);
             let stream = Arc::clone(&stream);
             let position = Arc::clone(&position);
-            threads.push(std::thread::spawn(move || 'rounds: loop {
+            threads.push(std::thread::spawn(move || loop {
                 if ctx.stop.load(Ordering::Relaxed) {
                     break;
                 }
@@ -493,16 +493,16 @@ impl WorkerHandle {
                 let end = (base + STAGE_BATCH).min(stream.len() as u64);
                 let ks = &stream[base as usize..end as usize];
                 let datas = ctx.fetch_many_for_staging(ks);
-                for (off, (&k, data)) in ks.iter().zip(datas).enumerate() {
-                    // Preprocess-and-store: the model's write_i(k). Each
-                    // of the p0 threads pays it independently, so the
-                    // aggregate preprocessing rate scales with the
-                    // thread count, as in the performance model.
-                    let wt = ctx.shared.config.system.write_time(data.len() as u64);
-                    ctx.shared.config.scale.wait(wt);
-                    if !ctx.stage.push(base + off as u64, k, data) {
-                        break 'rounds; // stage closed
-                    }
+                // Preprocess-and-store: the model's write_i(k) for the
+                // whole run, paid before the run is handed over. Each
+                // of the p0 threads pays it independently, so the
+                // aggregate preprocessing rate scales with the thread
+                // count, as in the performance model.
+                let sys = &ctx.shared.config.system;
+                let wt = datas.iter().map(|d| sys.write_time(d.len() as u64)).sum();
+                ctx.shared.config.scale.wait(wt);
+                if !ctx.stage.push_run(base, ks.iter().copied().zip(datas)) {
+                    break; // stage closed
                 }
             }));
         }
@@ -571,33 +571,7 @@ impl WorkerHandle {
     /// buffer; `None` once the run is exhausted. Blocked time is
     /// recorded as consumer stall.
     pub fn next_sample(&mut self) -> Option<(SampleId, Bytes)> {
-        if self.consumed >= self.stream.len() as u64 {
-            return None;
-        }
-        if self.epoch_len > 0 && self.consumed.is_multiple_of(self.epoch_len) {
-            self.ctx.obs.tracer.instant(
-                names::EV_EPOCH,
-                "worker",
-                vec![("epoch", self.current_epoch().into())],
-            );
-        }
-        let t0 = Instant::now();
-        let item = self.ctx.stage.pop()?;
-        let stalled = t0.elapsed();
-        if self.ctx.obs.tracer.is_active() && stalled > std::time::Duration::from_micros(50) {
-            // Only material stalls become spans; sub-50µs pops are the
-            // healthy case and would drown the ring.
-            self.ctx.obs.tracer.complete(
-                names::EV_STALL,
-                "worker",
-                t0,
-                vec![("stall_us", (stalled.as_micros() as u64).into())],
-            );
-        }
-        self.ctx.stats.add_stall(stalled);
-        self.ctx.stats.count_consumed();
-        self.consumed += 1;
-        Some(item)
+        self.take(1)?.pop()
     }
 
     /// The configured per-worker mini-batch size.
@@ -616,21 +590,35 @@ impl WorkerHandle {
             self.epoch_len,
             self.batch_size,
         );
-        if want == 0 {
+        self.take(want)
+    }
+
+    /// Takes the next `want` samples (never crossing an epoch
+    /// boundary) in one staging handoff; `None` when none arrive.
+    fn take(&mut self, want: usize) -> Option<Vec<(SampleId, Bytes)>> {
+        if want == 0 || self.consumed >= self.stream.len() as u64 {
             return None;
         }
-        let mut batch = Vec::with_capacity(want);
-        for _ in 0..want {
-            match self.next_sample() {
-                Some(item) => batch.push(item),
-                None => break,
-            }
+        if self.epoch_len > 0 && self.consumed.is_multiple_of(self.epoch_len) {
+            self.ctx.obs.tracer.instant(
+                names::EV_EPOCH,
+                "worker",
+                vec![("epoch", self.current_epoch().into())],
+            );
         }
-        if batch.is_empty() {
-            None
-        } else {
-            Some(batch)
+        let (batch, t0, stalled) = crate::pop_staged(&self.ctx.stage, &self.ctx.stats, want);
+        if self.ctx.obs.tracer.is_active() && stalled > std::time::Duration::from_micros(50) {
+            // Only material stalls become spans; sub-50µs waits are the
+            // healthy case and would drown the ring.
+            self.ctx.obs.tracer.complete(
+                names::EV_STALL,
+                "worker",
+                t0,
+                vec![("stall_us", (stalled.as_micros() as u64).into())],
+            );
         }
+        self.consumed += batch.len() as u64;
+        (!batch.is_empty()).then_some(batch)
     }
 
     /// Current I/O statistics snapshot.

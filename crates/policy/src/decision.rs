@@ -60,15 +60,7 @@ pub fn select_source(
     size: u64,
     gamma: usize,
 ) -> Location {
-    let mut candidates: Vec<Location> = Vec::with_capacity(3);
-    if let Some(c) = local {
-        candidates.push(Location::Local(c));
-    }
-    if let Some(c) = remote {
-        candidates.push(Location::Remote(c));
-    }
-    candidates.push(Location::Pfs);
-    select_source_tiered(sys, &candidates, size, gamma)
+    select_source_degraded(sys, local, remote, size, gamma, true)
 }
 
 /// Graceful degradation under an unhealthy origin: like
@@ -78,6 +70,9 @@ pub fn select_source(
 /// tiers instead of stalling the step loop. With no alternative
 /// candidate the origin is still returned — the caller must then wait
 /// out the breaker (there is nowhere else the bytes can come from).
+///
+/// The at most three candidates live in a stack array: this runs once
+/// per staged sample, so it must not allocate.
 pub fn select_source_degraded(
     sys: &SystemSpec,
     local: Option<u8>,
@@ -86,17 +81,20 @@ pub fn select_source_degraded(
     gamma: usize,
     origin_available: bool,
 ) -> Location {
-    let mut candidates: Vec<Location> = Vec::with_capacity(3);
-    if let Some(c) = local {
-        candidates.push(Location::Local(c));
+    let mut candidates = [Location::Pfs; 3];
+    let mut n = 0;
+    for loc in [local.map(Location::Local), remote.map(Location::Remote)]
+        .into_iter()
+        .flatten()
+    {
+        candidates[n] = loc;
+        n += 1;
     }
-    if let Some(c) = remote {
-        candidates.push(Location::Remote(c));
+    if origin_available || n == 0 {
+        // The slot is already `Pfs`.
+        n += 1;
     }
-    if origin_available || candidates.is_empty() {
-        candidates.push(Location::Pfs);
-    }
-    select_source_tiered(sys, &candidates, size, gamma)
+    select_source_tiered(sys, &candidates[..n], size, gamma)
 }
 
 /// Per-worker PFS share (bytes/s) during bulk staging phases: all `N`

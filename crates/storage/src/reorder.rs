@@ -5,8 +5,17 @@
 //! access-stream order (Rule 1 requires the *buffer* to be filled in
 //! `R` order, and SGD consumes it sequentially). The paper's circular
 //! staging buffer assigns each sample a slot by stream position; this
-//! type reproduces that: producers insert `(position, sample)` in any
-//! order, the consumer pops positions `0, 1, 2, …` strictly.
+//! type reproduces that with a ring of slots, where slot `i` holds
+//! stream position `next + i`: producers insert `(position, sample)` in
+//! any order, the consumer pops positions `0, 1, 2, …` strictly.
+//!
+//! The handoff is batched on both sides. A producer hands over a run of
+//! consecutive positions under one lock hold ([`ReorderStage::push_run`])
+//! and the consumer takes a whole mini-batch in one call
+//! ([`ReorderStage::pop_many`]). Condition variables are signalled only
+//! when someone waits on them: a push wakes the consumer only when it
+//! fills the head slot the consumer is blocked on, and a pop wakes
+//! producers only when one is blocked for space.
 //!
 //! Capacity is bounded in bytes with one escape hatch: the sample the
 //! consumer is waiting for (`position == next`) is always admitted, so
@@ -16,17 +25,21 @@ use crate::SampleId;
 use bytes::Bytes;
 use nopfs_obs::{names, Counter, Gauge, Registry};
 use parking_lot::{Condvar, Mutex};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 #[derive(Debug)]
 struct State {
+    /// Stream position of `slots[0]`, the next one the consumer takes.
     next: u64,
-    pending: BTreeMap<u64, (SampleId, Bytes)>,
+    /// `slots[i]` holds position `next + i` once it has been pushed.
+    slots: VecDeque<Option<(SampleId, Bytes)>>,
     used: u64,
     closed: bool,
-    max_used: u64,
+    /// The consumer is blocked on `data`, waiting for the head slot.
+    consumer_waiting: bool,
+    /// Producers blocked on `space`.
+    producers_waiting: usize,
 }
 
 /// Registry handles (`staging.*` metrics): cumulative push/pop
@@ -48,7 +61,7 @@ struct Inner {
 }
 
 /// A byte-bounded reorder buffer keyed by stream position. Clone to
-/// share between prefetcher threads and the consumer.
+/// share between prefetcher threads and the one consumer.
 #[derive(Debug, Clone)]
 pub struct ReorderStage {
     inner: Arc<Inner>,
@@ -77,10 +90,11 @@ impl ReorderStage {
                 capacity,
                 state: Mutex::new(State {
                     next: 0,
-                    pending: BTreeMap::new(),
+                    slots: VecDeque::new(),
                     used: 0,
                     closed: false,
-                    max_used: 0,
+                    consumer_waiting: false,
+                    producers_waiting: 0,
                 }),
                 metrics: Metrics {
                     pushed: registry.counter(names::STAGING_PUSHED),
@@ -103,73 +117,114 @@ impl ReorderStage {
     /// Panics if `pos` was already pushed or already consumed (every
     /// stream position is fetched exactly once).
     pub fn push(&self, pos: u64, id: SampleId, data: Bytes) -> bool {
-        let size = data.len() as u64;
-        let mut st = self.inner.state.lock();
-        assert!(pos >= st.next, "position {pos} already consumed");
-        loop {
-            if st.closed {
-                return false;
+        self.push_run(pos, [(id, data)])
+    }
+
+    /// Inserts `items` at the consecutive stream positions `base`,
+    /// `base + 1`, … under one lock hold, blocking per item exactly as
+    /// [`Self::push`] does (the head position is always admitted).
+    ///
+    /// Before blocking partway through the run, the producer wakes a
+    /// waiting consumer if it has already placed the head, so the
+    /// consumer can free the space the rest of the run needs.
+    ///
+    /// Returns `false` if the stage was closed; items placed before the
+    /// close stay placed.
+    ///
+    /// # Panics
+    /// Panics if a position was already pushed or already consumed.
+    pub fn push_run(&self, base: u64, items: impl IntoIterator<Item = (SampleId, Bytes)>) -> bool {
+        let inner = &*self.inner;
+        let mut st = inner.state.lock();
+        assert!(base >= st.next, "position {base} already consumed");
+        let mut placed = 0;
+        let mut placed_head = false;
+        for (pos, (id, data)) in (base..).zip(items) {
+            let size = data.len() as u64;
+            while !st.closed && pos != st.next && st.used + size > inner.capacity {
+                if placed_head && st.consumer_waiting {
+                    inner.data.notify_one();
+                }
+                placed_head = false;
+                st.producers_waiting += 1;
+                inner.space.wait(&mut st);
+                st.producers_waiting -= 1;
             }
-            if pos == st.next || st.used + size <= self.inner.capacity {
+            if st.closed {
                 break;
             }
-            self.inner.space.wait(&mut st);
+            let off = (pos - st.next) as usize;
+            if st.slots.len() <= off {
+                st.slots.resize(off + 1, None);
+            }
+            let slot = &mut st.slots[off];
+            assert!(slot.is_none(), "position {pos} pushed twice");
+            *slot = Some((id, data));
+            st.used += size;
+            placed_head |= off == 0;
+            placed += 1;
         }
-        let prev = st.pending.insert(pos, (id, data));
-        assert!(prev.is_none(), "position {pos} pushed twice");
-        st.used += size;
-        st.max_used = st.max_used.max(st.used);
-        self.inner.metrics.pushed.inc();
-        self.inner.metrics.used_bytes.set(st.used);
+        inner.metrics.pushed.add(placed);
+        inner.metrics.used_bytes.set(st.used);
+        let open = !st.closed;
+        let wake = placed_head && st.consumer_waiting;
         drop(st);
-        self.inner.data.notify_all();
-        true
+        if wake {
+            inner.data.notify_one();
+        }
+        open
     }
 
     /// Pops the sample at the next stream position, blocking until it
     /// arrives. Returns `None` once closed and the head is unavailable.
     pub fn pop(&self) -> Option<(SampleId, Bytes)> {
-        let mut st = self.inner.state.lock();
-        loop {
-            let next = st.next;
-            if let Some((id, data)) = st.pending.remove(&next) {
-                st.used -= data.len() as u64;
-                st.next += 1;
-                self.inner.metrics.popped.inc();
-                self.inner.metrics.used_bytes.set(st.used);
-                drop(st);
-                self.inner.space.notify_all();
-                return Some((id, data));
-            }
-            if st.closed {
-                return None;
-            }
-            self.inner.data.wait(&mut st);
-        }
+        let mut out = Vec::with_capacity(1);
+        self.pop_many(1, &mut out);
+        out.pop()
     }
 
-    /// Like [`Self::pop`] with a wall-clock timeout.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<(SampleId, Bytes)> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.inner.state.lock();
-        loop {
-            let next = st.next;
-            if let Some((id, data)) = st.pending.remove(&next) {
+    /// Appends the next `n` stream positions to `out`, in order, under
+    /// one lock hold per wait. Blocks until all `n` arrive; returns
+    /// fewer (the count appended) only once the stage is closed and the
+    /// head is unavailable.
+    ///
+    /// Before waiting for the head, the consumer wakes any producers
+    /// blocked for space, since its pops so far freed some.
+    pub fn pop_many(&self, n: usize, out: &mut Vec<(SampleId, Bytes)>) -> usize {
+        let inner = &*self.inner;
+        let mut st = inner.state.lock();
+        let mut popped = 0;
+        let mut freed = false;
+        while popped < n {
+            if let Some((id, data)) = st.slots.front_mut().and_then(Option::take) {
+                st.slots.pop_front();
                 st.used -= data.len() as u64;
                 st.next += 1;
-                self.inner.metrics.popped.inc();
-                self.inner.metrics.used_bytes.set(st.used);
-                drop(st);
-                self.inner.space.notify_all();
-                return Some((id, data));
+                out.push((id, data));
+                popped += 1;
+                freed = true;
+                continue;
             }
             if st.closed {
-                return None;
+                break;
             }
-            if self.inner.data.wait_until(&mut st, deadline).timed_out() {
-                return None;
+            if freed && st.producers_waiting > 0 {
+                inner.space.notify_all();
             }
+            freed = false;
+            debug_assert!(!st.consumer_waiting, "a reorder stage has one consumer");
+            st.consumer_waiting = true;
+            inner.data.wait(&mut st);
+            st.consumer_waiting = false;
         }
+        inner.metrics.popped.add(popped as u64);
+        inner.metrics.used_bytes.set(st.used);
+        let wake = freed && st.producers_waiting > 0;
+        drop(st);
+        if wake {
+            inner.space.notify_all();
+        }
+        popped
     }
 
     /// Closes the stage; blocked producers and consumers return.
@@ -185,22 +240,13 @@ impl ReorderStage {
     pub fn used(&self) -> u64 {
         self.inner.state.lock().used
     }
-
-    /// The stream position the consumer will receive next.
-    pub fn next_position(&self) -> u64 {
-        self.inner.state.lock().next
-    }
-
-    /// High-water mark of buffered bytes.
-    pub fn max_used(&self) -> u64 {
-        self.inner.state.lock().max_used
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn out_of_order_push_in_order_pop() {
@@ -272,10 +318,54 @@ mod tests {
     }
 
     #[test]
-    fn pop_timeout_on_missing_head() {
+    fn run_with_head_reaches_consumer_while_producer_blocks() {
+        // Capacity fits two samples; the run places the head (position
+        // 0) and position 1, then blocks on position 2. The waiting
+        // consumer must get the head without the run completing.
+        let stage = ReorderStage::new(20);
+        let s2 = stage.clone();
+        let consumer = thread::spawn(move || s2.pop().unwrap().0);
+        thread::sleep(Duration::from_millis(10));
+        let s3 = stage.clone();
+        let producer = thread::spawn(move || {
+            s3.push_run(0, (0..6u64).map(|i| (i, Bytes::from(vec![i as u8; 10]))))
+        });
+        assert_eq!(consumer.join().unwrap(), 0);
+        thread::sleep(Duration::from_millis(10));
+        assert!(
+            !producer.is_finished(),
+            "the rest of the run exceeds capacity"
+        );
+        let mut out = Vec::new();
+        assert_eq!(stage.pop_many(5, &mut out), 5);
+        let ids: Vec<u64> = out.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, vec![1, 2, 3, 4, 5]);
+        assert!(producer.join().unwrap());
+        assert_eq!(stage.used(), 0);
+    }
+
+    #[test]
+    fn close_returns_a_partial_pop_many() {
         let stage = ReorderStage::new(100);
-        stage.push(5, 5, Bytes::from_static(b"future"));
-        assert!(stage.pop_timeout(Duration::from_millis(20)).is_none());
+        stage.push_run(
+            0,
+            [(7, Bytes::from_static(b"a")), (8, Bytes::from_static(b"b"))],
+        );
+        let s2 = stage.clone();
+        let consumer = thread::spawn(move || {
+            let mut out = Vec::new();
+            let n = s2.pop_many(4, &mut out);
+            (n, out)
+        });
+        thread::sleep(Duration::from_millis(20));
+        assert!(!consumer.is_finished(), "pop_many waits for all four");
+        stage.close();
+        let (n, out) = consumer.join().unwrap();
+        assert_eq!(n, 2);
+        assert_eq!(
+            out.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
+            vec![7, 8]
+        );
     }
 
     #[test]

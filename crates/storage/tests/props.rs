@@ -68,6 +68,64 @@ proptest! {
         prop_assert_eq!(stage.used(), 0);
     }
 
+    /// Batched handoff: 1–4 producers claim runs of random length and
+    /// hand each over with one `push_run`, under capacities down to a
+    /// single sample, while the consumer takes random `pop_many` sizes.
+    /// Every position arrives exactly once, in order, with its bytes,
+    /// and the stage drains to zero.
+    #[test]
+    fn reorder_runs_and_batches_deliver_every_position_once(
+        sizes in prop::collection::vec(1usize..=64, 1..200),
+        producers in 1usize..=4,
+        runs in prop::collection::vec(1u64..=12, 1..8),
+        cap_samples in 1u64..=8,
+        pops in prop::collection::vec(1usize..=40, 1..8),
+    ) {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        let n = sizes.len() as u64;
+        let stage = ReorderStage::new(cap_samples * 64);
+        let sizes = Arc::new(sizes);
+        let claimed = Arc::new(AtomicU64::new(0));
+        let handles: Vec<_> = (0..producers)
+            .map(|t| {
+                let (stage, sizes, claimed, runs) =
+                    (stage.clone(), Arc::clone(&sizes), Arc::clone(&claimed), runs.clone());
+                std::thread::spawn(move || {
+                    for round in t.. {
+                        let len = runs[round % runs.len()];
+                        let base = claimed.fetch_add(len, Ordering::SeqCst);
+                        if base >= n {
+                            break;
+                        }
+                        let run = (base..(base + len).min(n)).map(|pos| {
+                            (pos * 7 + 1, Bytes::from(vec![(pos % 251) as u8; sizes[pos as usize]]))
+                        });
+                        assert!(stage.push_run(base, run));
+                    }
+                })
+            })
+            .collect();
+        let mut got = Vec::new();
+        for want in pops.iter().cycle() {
+            let left = (n - got.len() as u64) as usize;
+            if left == 0 {
+                break;
+            }
+            let want = (*want).min(left);
+            prop_assert_eq!(stage.pop_many(want, &mut got), want);
+        }
+        for h in handles {
+            h.join().expect("producer");
+        }
+        for (pos, (id, data)) in got.iter().enumerate() {
+            prop_assert_eq!(*id, pos as u64 * 7 + 1);
+            prop_assert_eq!(data.len(), sizes[pos]);
+            prop_assert!(data.iter().all(|&b| b == (pos % 251) as u8));
+        }
+        prop_assert_eq!(stage.used(), 0);
+    }
+
     /// Memory backends account bytes exactly under arbitrary
     /// insert/evict/replace interleavings.
     #[test]
